@@ -17,12 +17,13 @@ race:
 	$(GO) test -race -timeout 20m ./...
 
 # Ten seconds per fuzz target: enough to shake out regressions in the
-# mapper round-trip and cache-policy invariants without stalling CI.
+# fuzzed invariants without stalling CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMapperRoundTrip -fuzztime 10s ./internal/dram
 	$(GO) test -run '^$$' -fuzz FuzzPolicyInvariants -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzSyntheticViews -fuzztime 10s ./internal/workload
 
 # The degraded-hardware experiments under the hardened runner: per-replicate
 # timeouts and keep-going failure reporting exercised end to end.

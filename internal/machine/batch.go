@@ -40,7 +40,10 @@ type BatchProgram interface {
 	// execute any prefix (including none) and report it via Advance, and
 	// operations not advanced past must be re-served by later NextRun or
 	// Next calls. The returned slice is only valid until the next method
-	// call on the program.
+	// call on the program. An implementation that generates ahead keeps at
+	// most max uncommitted operations and must not retain the committed
+	// prefix: the machine executes most views only partway, so a buffer
+	// that keeps it grows with every operation of the run.
 	NextRun(max int) []Op
 	// Advance commits the first n operations of the most recent NextRun
 	// view as executed.

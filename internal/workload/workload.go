@@ -283,11 +283,10 @@ func (s *Synthetic) coldAddr() uint64 {
 // advancing the region every RegionPeriod cold accesses.
 func (s *Synthetic) regionAddr() uint64 {
 	region := uint64(s.prof.RegionKB) << 10
-	if slot := s.coldOps / s.prof.RegionPeriod; true {
-		// Deterministic slide: regions tile the footprint in order, like
-		// block-structured processing of an input.
-		s.regionBase = slot * region % (s.footprint - region + 1)
-	}
+	// Deterministic slide: regions tile the footprint in order, like
+	// block-structured processing of an input.
+	slot := s.coldOps / s.prof.RegionPeriod
+	s.regionBase = slot * region % (s.footprint - region + 1)
 	return coldBase + s.regionBase + s.rng.Uint64n(region/64)*64
 }
 
@@ -342,10 +341,6 @@ func (s *Synthetic) Next() machine.Op {
 	if s.pendStart < len(s.pending) {
 		op := s.pending[s.pendStart]
 		s.pendStart++
-		if s.pendStart == len(s.pending) {
-			s.pending = s.pending[:0]
-			s.pendStart = 0
-		}
 		s.commit(op)
 		return op
 	}
@@ -354,21 +349,21 @@ func (s *Synthetic) Next() machine.Op {
 	return op
 }
 
-// NextRun implements machine.BatchProgram: it tops the pending buffer up to
-// max uncommitted operations (stopping at OpDone) and returns them. Nothing
-// commits until Advance.
+// NextRun implements machine.BatchProgram: it moves the uncommitted tail of
+// the pending buffer to the front, tops it up to max operations (stopping at
+// OpDone) and returns them. Nothing commits until Advance. Dropping the
+// committed prefix first keeps the buffer within max operations however
+// little of each view the machine executes.
 func (s *Synthetic) NextRun(max int) []machine.Op {
-	for len(s.pending)-s.pendStart < max {
-		if n := len(s.pending); n > s.pendStart && s.pending[n-1].Kind == machine.OpDone {
+	s.pending = s.pending[:copy(s.pending, s.pending[s.pendStart:])]
+	s.pendStart = 0
+	for n := len(s.pending); n < max; n++ {
+		if n > 0 && s.pending[n-1].Kind == machine.OpDone {
 			break
 		}
-		op := s.gen()
-		s.pending = append(s.pending, op)
-		if op.Kind == machine.OpDone {
-			break
-		}
+		s.pending = append(s.pending, s.gen())
 	}
-	return s.pending[s.pendStart:]
+	return s.pending
 }
 
 // Advance implements machine.BatchProgram.
@@ -377,10 +372,6 @@ func (s *Synthetic) Advance(n int) {
 		s.commit(op)
 	}
 	s.pendStart += n
-	if s.pendStart == len(s.pending) {
-		s.pending = s.pending[:0]
-		s.pendStart = 0
-	}
 }
 
 var _ machine.BatchProgram = (*Synthetic)(nil)
