@@ -3,7 +3,7 @@ GO ?= go
 # Packages with a BenchmarkHotPath microbenchmark of the per-access pipeline.
 BENCH_PKGS := ./internal/cache ./internal/pmu ./internal/dram ./internal/machine
 
-.PHONY: all build test race fuzz-smoke fault-smoke resume-smoke serve-smoke worker-smoke vet lint fmt check bench bench-smoke
+.PHONY: all build test race fuzz-smoke examples-smoke fault-smoke resume-smoke serve-smoke worker-smoke vet lint fmt check bench bench-smoke
 
 all: build test vet lint
 
@@ -24,6 +24,25 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSpec -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzSyntheticViews -fuzztime 10s ./internal/workload
+
+# The standalone binaries end to end, each on a sub-second input: any
+# non-zero exit fails the target, and so does an attack demo that stops
+# flipping bits.
+EXAMPLES_BIN := bin/examples-smoke
+
+examples-smoke:
+	$(GO) build -o $(EXAMPLES_BIN)/ ./cmd/evset ./cmd/trace ./cmd/anvilsim \
+		./examples/covert ./examples/clflushfree
+	$(EXAMPLES_BIN)/evset
+	$(EXAMPLES_BIN)/evset -policy lru
+	$(EXAMPLES_BIN)/covert
+	$(EXAMPLES_BIN)/clflushfree > $(EXAMPLES_BIN)/clflushfree.out
+	grep 'BIT FLIP' $(EXAMPLES_BIN)/clflushfree.out
+	$(EXAMPLES_BIN)/trace -demo > $(EXAMPLES_BIN)/demo.trace
+	$(EXAMPLES_BIN)/trace -file $(EXAMPLES_BIN)/demo.trace -anvil
+	$(EXAMPLES_BIN)/trace -record mcf -ops 1000 > /dev/null
+	$(EXAMPLES_BIN)/anvilsim -attack double-flush -duration 40ms > $(EXAMPLES_BIN)/anvilsim.out
+	grep 'bit flips: [1-9]' $(EXAMPLES_BIN)/anvilsim.out
 
 # The degraded-hardware experiments under the hardened runner: per-replicate
 # timeouts and keep-going failure reporting exercised end to end.

@@ -15,9 +15,8 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/anvil"
-	"repro/internal/machine"
 	"repro/internal/pmu"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -47,26 +46,19 @@ func run(args []string) error {
 // missRates prints each profile's per-6ms LLC miss distribution.
 func missRates() error {
 	for _, prof := range workload.SPEC2006() {
-		cfg := machine.DefaultConfig()
-		cfg.Cores = 1
-		m, err := machine.New(cfg)
+		in, err := scenario.Build(scenario.Spec{
+			Workloads: []scenario.Workload{{Name: prof.Name}},
+		})
 		if err != nil {
-			return err
-		}
-		prog, err := workload.New(prof)
-		if err != nil {
-			return err
-		}
-		if _, err := m.Spawn(0, prog); err != nil {
 			return err
 		}
 		var rates []float64
 		last := uint64(0)
 		for i := 0; i < 50; i++ {
-			if err := m.Run(m.Time() + m.Freq.Cycles(6*time.Millisecond)); err != nil {
+			if err := in.RunFor(6 * time.Millisecond); err != nil {
 				return err
 			}
-			cur := m.Mem.PMU.Read(pmu.EvLLCMiss)
+			cur := in.Machine.Mem.PMU.Read(pmu.EvLLCMiss)
 			rates = append(rates, float64(cur-last))
 			last = cur
 		}
@@ -92,28 +84,17 @@ func missRates() error {
 // fpProbe runs one profile under ANVIL-baseline and reports crossing and
 // false-positive behaviour.
 func fpProbe(prof workload.Profile, dur time.Duration) error {
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 1
-	m, err := machine.New(cfg)
+	in, err := scenario.Build(scenario.Spec{
+		Workloads: []scenario.Workload{{Name: prof.Name}},
+		Defense:   scenario.ANVILBaseline,
+	})
 	if err != nil {
 		return err
 	}
-	prog, err := workload.New(prof)
-	if err != nil {
+	if err := in.RunFor(dur); err != nil {
 		return err
 	}
-	if _, err := m.Spawn(0, prog); err != nil {
-		return err
-	}
-	d, err := anvil.New(m, anvil.Baseline(), nil)
-	if err != nil {
-		return err
-	}
-	d.Start()
-	if err := m.Run(m.Freq.Cycles(dur)); err != nil {
-		return err
-	}
-	st := d.Stats()
+	st := in.Detector.Stats()
 	hist := map[int]int{}
 	for _, p := range st.WindowPeaks {
 		hist[p.MaxRow]++

@@ -21,6 +21,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/machine"
 	"repro/internal/pmu"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -74,15 +75,15 @@ func run(file string, loops uint64, useANVIL, detailed bool, maxMS uint64) error
 		return err
 	}
 
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 1
+	spec := scenario.Spec{Cores: 1}
 	if detailed {
-		cfg.Memory.DRAM.Detailed = dram.Detailed(cfg.Freq)
+		spec.Mutate = func(c *machine.Config) { c.Memory.DRAM.Detailed = dram.Detailed(c.Freq) }
 	}
-	m, err := machine.New(cfg)
+	in, err := scenario.Build(spec)
 	if err != nil {
 		return err
 	}
+	m := in.Machine
 	if _, err := m.Spawn(0, prog); err != nil {
 		return err
 	}
@@ -118,13 +119,6 @@ func run(file string, loops uint64, useANVIL, detailed bool, maxMS uint64) error
 	return nil
 }
 
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // emitDemo writes a small trace that thrashes one DRAM row pair.
 func emitDemo() error {
 	var recs []workload.Record
@@ -149,16 +143,14 @@ func recordProfile(name string, ops uint64) error {
 		return err
 	}
 	rec := workload.NewRecorder(prog.WithOpLimit(ops), 0)
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 1
-	m, err := machine.New(cfg)
+	in, err := scenario.Build(scenario.Spec{Cores: 1})
 	if err != nil {
 		return err
 	}
-	if _, err := m.Spawn(0, rec); err != nil {
+	if _, err := in.Machine.Spawn(0, rec); err != nil {
 		return err
 	}
-	if err := m.Run(1 << 62); err != nil && !errors.Is(err, machine.ErrAllDone) {
+	if err := in.RunToCompletion(); err != nil {
 		return err
 	}
 	return workload.FormatTrace(os.Stdout, rec.Records())

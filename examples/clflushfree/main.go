@@ -14,27 +14,17 @@ import (
 	"repro/internal/attack"
 	"repro/internal/cache"
 	"repro/internal/machine"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
-func newMachine() *machine.Machine {
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 1
-	m, err := machine.New(cfg)
+// build makes a fresh one-core machine.
+func build() *scenario.Instance {
+	in, err := scenario.Build(scenario.Spec{Cores: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	return m
-}
-
-func opts(m *machine.Machine) attack.Options {
-	return attack.Options{
-		Mapper:     m.Mem.DRAM.Mapper(),
-		LLC:        cache.SandyBridgeConfig().Levels[2],
-		AutoTarget: true,
-		BufferMB:   16,
-		Contiguous: true,
-	}
+	return in
 }
 
 func main() {
@@ -42,8 +32,8 @@ func main() {
 
 	// Step 1: identify the replacement policy the way the authors did.
 	fmt.Println("step 1: replacement-policy inference from the LLC miss counter")
-	m := newMachine()
-	scores, err := attack.RunInference(m, opts(m), 60, cache.AllPolicies())
+	in := build()
+	scores, err := attack.RunInference(in.Machine, in.AttackOptions(), 60, cache.AllPolicies())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,8 +44,9 @@ func main() {
 
 	// Step 2: build the attack on a fresh machine.
 	fmt.Println("step 2: eviction sets via pagemap + policy-aware access pattern")
-	m = newMachine()
-	a, err := attack.NewClflushFree(opts(m))
+	in = build()
+	m := in.Machine
+	a, err := attack.NewClflushFree(in.AttackOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,13 +85,13 @@ func main() {
 	// construction — but, as the paper notes, attackers retain other ways
 	// to learn physical layout.
 	fmt.Println("step 4: with /proc/pagemap restricted (the deployed kernel patch):")
-	m = newMachine()
-	m.Kernel.Pagemap.Restricted = true
-	b, err := attack.NewClflushFree(opts(m))
+	in = build()
+	in.Machine.Kernel.Pagemap.Restricted = true
+	b, err := attack.NewClflushFree(in.AttackOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := m.Spawn(0, b); err != nil {
+	if _, err := in.Machine.Spawn(0, b); err != nil {
 		fmt.Printf("  attack setup fails: %v\n", err)
 	} else {
 		fmt.Println("  unexpected: attack built eviction sets without pagemap")

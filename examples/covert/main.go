@@ -7,35 +7,27 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
 
 	"repro/internal/attack"
-	"repro/internal/cache"
-	"repro/internal/machine"
+	"repro/internal/scenario"
 )
 
 func main() {
 	log.SetFlags(0)
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 2
-	m, err := machine.New(cfg)
+	in, err := scenario.Build(scenario.Spec{Cores: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := in.Machine
 
 	// The "shared library" page both processes map.
 	frame, err := m.Kernel.Alloc.Alloc()
 	if err != nil {
 		log.Fatal(err)
 	}
-	cc := attack.DefaultCovertConfig(attack.Options{
-		Mapper:     m.Mem.DRAM.Mapper(),
-		LLC:        cache.SandyBridgeConfig().Levels[2],
-		BufferMB:   16,
-		Contiguous: true,
-	})
+	cc := attack.DefaultCovertConfig(in.AttackOptions())
 	cc.SharedFrame = frame
 
 	msg := []byte("no clflush needed")
@@ -54,7 +46,7 @@ func main() {
 	if _, err := m.Spawn(1, rcv); err != nil {
 		log.Fatal(err)
 	}
-	if err := m.Run(1 << 40); !errors.Is(err, machine.ErrAllDone) {
+	if err := in.RunToCompletion(); err != nil {
 		log.Fatal(err)
 	}
 

@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/machine"
+	"repro/internal/scenario"
 )
 
 const (
@@ -45,12 +45,11 @@ func (r *retargetable) Next() machine.Op {
 
 func main() {
 	log.SetFlags(0)
-	cfg := machine.DefaultConfig()
-	cfg.Cores = 1
-	m, err := machine.New(cfg)
+	in, err := scenario.Build(scenario.Spec{Cores: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := in.Machine
 	prog := &retargetable{}
 	proc, err := m.Spawn(0, prog)
 	if err != nil {
@@ -68,16 +67,16 @@ func main() {
 	}
 	baseCoord := mapper.Map(basePA)
 
-	// The module hammers rows inside its own (validated!) code segment.
+	// The module hammers rows inside its own (validated!) code segment,
+	// which sits where the attack buffer goes and is already mapped.
+	opts := in.AttackOptions()
+	opts.AutoTarget = false
+	opts.BufferMB = codeMB
 	start := time.Now() //lint:allow detrand example reports real elapsed time next to simulated time
 	for trial := 0; trial < 60; trial++ {
 		victim := dram.Coord{Bank: baseCoord.Bank, Row: baseCoord.Row + 4 + trial*2}
-		a, err := attack.NewDoubleSidedFlush(attack.Options{
-			Mapper:   mapper,
-			LLC:      cache.SandyBridgeConfig().Levels[2],
-			Target:   attack.Target{Bank: victim.Bank, VictimRow: victim.Row},
-			BufferMB: codeMB,
-		})
+		opts.Target = attack.Target{Bank: victim.Bank, VictimRow: victim.Row}
+		a, err := attack.NewDoubleSidedFlush(opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -113,5 +112,5 @@ func main() {
 			fmt.Printf("  flip in instruction %d, bit %d: still a safe instruction, rehammering\n", inst, bit)
 		}
 	}
-	fmt.Println("no exploitable flip among the hammered rows (weak cells elsewhere); rerun with another seed")
+	fmt.Println("no exploitable flip among the hammered rows (weak cells elsewhere)")
 }

@@ -3,7 +3,7 @@
 // configuration and compare completion times against the unprotected 64 ms
 // machine. Each configuration is one scenario.Spec; the unprotected /
 // ANVIL / 2x-refresh triples for the five benchmarks fan out across
-// scenario.RunMany's worker pool.
+// scenario.RunReplicates' worker pool.
 package main
 
 import (
@@ -36,7 +36,7 @@ func main() {
 	const ops = 400_000
 
 	type ratios struct{ anvil, dbl float64 }
-	rows, err := scenario.RunMany(len(names), 0, func(rep int) (ratios, error) {
+	rows, err := scenario.RunReplicates(scenario.Config{}, len(names), func(rep int) (ratios, error) {
 		base, err := measure(names[rep], ops, scenario.NoDefense, 1)
 		if err != nil {
 			return ratios{}, err

@@ -1,5 +1,5 @@
 // Determinism tests for the scenario engine: the same registry experiment
-// must serialize byte-identically across runs, and RunMany must merge
+// must serialize byte-identically across runs, and RunReplicates must merge
 // replicates into byte-identical output regardless of worker-pool size.
 // These run under -race in CI, so they also double as the data-race check
 // on the parallel runner.
@@ -45,8 +45,8 @@ func TestRegistryExperimentRepeatsByteIdentical(t *testing.T) {
 	}
 }
 
-// replicateJSON runs 8 seed-sharded attack replicates through RunMany at the
-// given parallelism and serializes the merged results.
+// replicateJSON runs 8 seed-sharded attack replicates through RunReplicates
+// at the given parallelism and serializes the merged results.
 func replicateJSON(t *testing.T, workers int) []byte {
 	t.Helper()
 	type outcome struct {
@@ -54,7 +54,7 @@ func replicateJSON(t *testing.T, workers int) []byte {
 		Accesses  uint64 `json:"accesses"`
 		FlipCount int    `json:"flipCount"`
 	}
-	results, err := scenario.RunMany(8, workers, func(rep int) (outcome, error) {
+	results, err := scenario.RunReplicates(scenario.Config{Parallel: workers}, 8, func(rep int) (outcome, error) {
 		seed := scenario.ReplicateSeed(42, rep)
 		in, err := scenario.Build(scenario.Spec{
 			Seed:   seed,
@@ -86,7 +86,7 @@ func TestRunManyParallelismInvariant(t *testing.T) {
 	serial := replicateJSON(t, 1)
 	parallel := replicateJSON(t, 8)
 	if !bytes.Equal(serial, parallel) {
-		t.Errorf("RunMany output depends on parallelism:\n1 worker: %s\n8 workers: %s",
+		t.Errorf("RunReplicates output depends on parallelism:\n1 worker: %s\n8 workers: %s",
 			serial, parallel)
 	}
 }

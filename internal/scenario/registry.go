@@ -17,7 +17,7 @@ type Config struct {
 	// Seed is the base of every replicate seed an experiment derives (via
 	// ReplicateSeed) and the Spec.Seed of single-run experiments.
 	Seed uint64
-	// Parallel is the worker count for RunMany-based experiments; zero or
+	// Parallel is the worker count of RunReplicates sweeps; zero or
 	// negative means GOMAXPROCS. Parallelism never changes results — only
 	// wall-clock time.
 	Parallel int

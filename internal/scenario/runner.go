@@ -115,8 +115,8 @@ type ProgressEvent struct {
 	Total     int
 }
 
-// Options tunes a RunSweep / RunManyCtx sweep. The zero value reproduces the
-// classic runner exactly: no journal, no retries, no budget.
+// Options tunes a RunSweep sweep. The zero value is the plain runner: no
+// timeout, no journal, no retries, no budget.
 type Options struct {
 	// Workers caps the worker pool; <= 0 means GOMAXPROCS. Parallelism never
 	// changes results or errors — only wall-clock time.
@@ -221,9 +221,8 @@ func (s SweepStatus) DroppedRange() string {
 }
 
 // ReplicateError is one replicate's failure, tagged with the replicate
-// index so a partial sweep remains attributable. It renders exactly like the
-// classic RunMany error ("scenario: replicate N: ...") and unwraps to the
-// underlying error.
+// index so a partial sweep remains attributable. It renders as
+// "scenario: replicate N: ..." and unwraps to the underlying error.
 type ReplicateError struct {
 	Rep int
 	Err error
@@ -623,30 +622,6 @@ func sleepBackoff(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// RunManyCtx is RunSweep behind the classic ([]T, error) signature. Without
-// KeepGoing a failed sweep returns (nil, first failure); budget truncation —
-// which the signature cannot tag onto the results — comes back as a
-// *TruncatedError alongside the partial results.
-func RunManyCtx[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, rep int) (T, error)) ([]T, error) {
-	out, status, err := RunSweep(ctx, n, opts, fn)
-	if status.Truncated {
-		return out, &TruncatedError{Status: status, Err: err}
-	}
-	if err != nil && !opts.KeepGoing {
-		return nil, err
-	}
-	return out, err
-}
-
-// RunMany is RunManyCtx without cancellation, deadlines or keep-going: the
-// classic sweep entry point. All n replicates run even if one fails; the
-// first error in replicate order is returned, so the error too is
-// independent of scheduling.
-func RunMany[T any](n, workers int, fn func(rep int) (T, error)) ([]T, error) {
-	return RunManyCtx(context.Background(), n, Options{Workers: workers},
-		func(_ context.Context, rep int) (T, error) { return fn(rep) })
-}
-
 // RunReplicatesSweep runs a registry experiment's sweep under the experiment
 // Config's runner settings — worker pool, per-replicate timeout, keep-going,
 // retries, budget — and, when the Config journals, checkpoints the sweep to
@@ -667,9 +642,11 @@ func RunReplicatesSweep[T any](cfg Config, n int, fn func(rep int) (T, error)) (
 		func(_ context.Context, rep int) (T, error) { return fn(rep) })
 }
 
-// RunReplicates is RunReplicatesSweep behind the classic ([]T, error)
-// signature, used by experiments whose aggregation needs the full sweep: a
-// budget-truncated sweep comes back as a loud *TruncatedError — partial
+// RunReplicates is RunReplicatesSweep behind a plain ([]T, error)
+// signature, used by experiments whose aggregation needs the full sweep.
+// Without KeepGoing every replicate still runs, and a failed sweep returns
+// (nil, first failure in replicate order). A budget-truncated sweep comes
+// back as a loud *TruncatedError alongside the partial results — partial
 // aggregates are never passed off as complete.
 func RunReplicates[T any](cfg Config, n int, fn func(rep int) (T, error)) ([]T, error) {
 	out, status, err := RunReplicatesSweep(cfg, n, fn)

@@ -10,9 +10,12 @@ import (
 	"time"
 )
 
+// The TestRunMany* names predate RunReplicates, the Config-based entry
+// point these tests now drive; the behaviours they pin are unchanged.
+
 func TestRunManyPreservesReplicateOrder(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 32} {
-		got, err := RunMany(16, workers, func(rep int) (int, error) {
+		got, err := RunReplicates(Config{Parallel: workers}, 16, func(rep int) (int, error) {
 			return rep * rep, nil
 		})
 		if err != nil {
@@ -29,7 +32,7 @@ func TestRunManyPreservesReplicateOrder(t *testing.T) {
 }
 
 func TestRunManyZeroReplicates(t *testing.T) {
-	got, err := RunMany(0, 4, func(rep int) (string, error) {
+	got, err := RunReplicates(Config{Parallel: 4}, 0, func(rep int) (string, error) {
 		t.Error("fn called for n=0")
 		return "", nil
 	})
@@ -43,7 +46,7 @@ func TestRunManyFirstErrorInReplicateOrder(t *testing.T) {
 	// error must be replicate 3's, and every replicate must still run.
 	for _, workers := range []int{1, 8} {
 		ran := make([]bool, 10)
-		_, err := RunMany(10, workers, func(rep int) (int, error) {
+		_, err := RunReplicates(Config{Parallel: workers}, 10, func(rep int) (int, error) {
 			ran[rep] = true
 			if rep == 3 || rep == 7 {
 				return 0, fmt.Errorf("boom %d", rep)
@@ -63,7 +66,7 @@ func TestRunManyFirstErrorInReplicateOrder(t *testing.T) {
 
 func TestRunManyErrorUnwraps(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	_, err := RunMany(2, 2, func(rep int) (int, error) {
+	_, err := RunReplicates(Config{Parallel: 2}, 2, func(rep int) (int, error) {
 		if rep == 1 {
 			return 0, sentinel
 		}
@@ -93,13 +96,12 @@ func TestReplicateSeedIsPureAndDecorrelated(t *testing.T) {
 
 func TestRunManyCtxPanicNamesReplicate(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		_, err := RunManyCtx(context.Background(), 8, Options{Workers: workers},
-			func(_ context.Context, rep int) (int, error) {
-				if rep == 5 {
-					panic("kaboom")
-				}
-				return rep, nil
-			})
+		_, err := RunReplicates(Config{Parallel: workers}, 8, func(rep int) (int, error) {
+			if rep == 5 {
+				panic("kaboom")
+			}
+			return rep, nil
+		})
 		var re *ReplicateError
 		if !errors.As(err, &re) {
 			t.Fatalf("workers=%d: error %v is not a *ReplicateError", workers, err)
@@ -120,17 +122,16 @@ func TestRunManyCtxCancellationReturnsPromptly(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
 		started := make(chan struct{}, 64)
-		_, err := RunManyCtx(ctx, 64, Options{Workers: workers},
-			func(ctx context.Context, rep int) (int, error) {
-				started <- struct{}{}
-				// The first replicate cancels the sweep; everyone else just
-				// waits on the context, so only cancellation lets them finish.
-				if rep == 0 {
-					cancel()
-				}
-				<-ctx.Done()
-				return 0, ctx.Err()
-			})
+		_, err := RunReplicates(Config{Parallel: workers, Ctx: ctx}, 64, func(rep int) (int, error) {
+			started <- struct{}{}
+			// The first replicate cancels the sweep; everyone else just
+			// waits on the context, so only cancellation lets them finish.
+			if rep == 0 {
+				cancel()
+			}
+			<-ctx.Done()
+			return 0, ctx.Err()
+		})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -145,16 +146,15 @@ func TestRunManyCtxCancellationReturnsPromptly(t *testing.T) {
 
 func TestRunManyCtxKeepGoingPartialResults(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		out, err := RunManyCtx(context.Background(), 8, Options{Workers: workers, KeepGoing: true},
-			func(_ context.Context, rep int) (int, error) {
-				switch rep {
-				case 3:
-					return 0, fmt.Errorf("boom %d", rep)
-				case 5:
-					panic("kaboom")
-				}
-				return rep * 10, nil
-			})
+		out, err := RunReplicates(Config{Parallel: workers, KeepGoing: true}, 8, func(rep int) (int, error) {
+			switch rep {
+			case 3:
+				return 0, fmt.Errorf("boom %d", rep)
+			case 5:
+				panic("kaboom")
+			}
+			return rep * 10, nil
+		})
 		var se *SweepError
 		if !errors.As(err, &se) {
 			t.Fatalf("workers=%d: error %v is not a *SweepError", workers, err)
@@ -184,11 +184,10 @@ func TestRunManyCtxKeepGoingPartialResults(t *testing.T) {
 func TestRunManyCtxTimeoutAbandonsStuckReplicate(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		block := make(chan struct{})
-		out, err := RunManyCtx(context.Background(), 4,
-			Options{Workers: workers, Timeout: 20 * time.Millisecond, KeepGoing: true},
-			func(ctx context.Context, rep int) (int, error) {
+		out, err := RunReplicates(Config{Parallel: workers, Timeout: 20 * time.Millisecond, KeepGoing: true}, 4,
+			func(rep int) (int, error) {
 				if rep == 1 {
-					<-block // ignores its context: must be abandoned
+					<-block // never sees a context: must be abandoned
 				}
 				return rep, nil
 			})
@@ -215,8 +214,8 @@ func TestRunManyCtxPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	_, err := RunManyCtx(ctx, 4, Options{Workers: 2},
-		func(_ context.Context, rep int) (int, error) { ran = true; return rep, nil })
+	_, err := RunReplicates(Config{Parallel: 2, Ctx: ctx}, 4,
+		func(rep int) (int, error) { ran = true; return rep, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
@@ -227,13 +226,12 @@ func TestRunManyCtxPreCancelledContext(t *testing.T) {
 
 func TestRunManyParallelismInvariantWithFailures(t *testing.T) {
 	run := func(workers int) ([]int, string) {
-		out, err := RunManyCtx(context.Background(), 16, Options{Workers: workers, KeepGoing: true},
-			func(_ context.Context, rep int) (int, error) {
-				if rep%5 == 4 {
-					return 0, fmt.Errorf("boom %d", rep)
-				}
-				return rep * rep, nil
-			})
+		out, err := RunReplicates(Config{Parallel: workers, KeepGoing: true}, 16, func(rep int) (int, error) {
+			if rep%5 == 4 {
+				return 0, fmt.Errorf("boom %d", rep)
+			}
+			return rep * rep, nil
+		})
 		return out, err.Error()
 	}
 	out1, err1 := run(1)

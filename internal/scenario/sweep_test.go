@@ -198,9 +198,10 @@ func TestBudgetWallClockTruncates(t *testing.T) {
 	}
 }
 
+// The name predates RunReplicates, the entry point this test now drives.
 func TestTruncatedErrorSurfacesThroughRunManyCtx(t *testing.T) {
-	opts := Options{Workers: 1, Budget: Budget{Replicates: 2}}
-	out, err := RunManyCtx(context.Background(), 5, opts, func(_ context.Context, rep int) (int, error) {
+	cfg := Config{Parallel: 1, Budget: Budget{Replicates: 2}}
+	out, err := RunReplicates(cfg, 5, func(rep int) (int, error) {
 		return rep, nil
 	})
 	var te *TruncatedError
