@@ -11,7 +11,7 @@ package repro_test
 // (-short) shrink run lengths. BenchmarkTable1Sweep measures the parallel
 // seed-sharded runner: the same 16-seed Table 1 sweep at 1 worker and at 8,
 // reporting the wall-clock speedup (the merged results are byte-identical
-// by construction — see scenario.RunSweep).
+// by construction — see scenario.RunReplicatesSweep).
 
 import (
 	"testing"

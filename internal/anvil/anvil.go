@@ -231,9 +231,6 @@ func New(m *machine.Machine, params Params, mapper dram.Mapper) (*Detector, erro
 	}, nil
 }
 
-// Params returns the active configuration.
-func (d *Detector) Params() Params { return d.params }
-
 // Stats returns a snapshot of the detector's counters.
 func (d *Detector) Stats() Stats {
 	s := d.stats

@@ -133,7 +133,7 @@ type RunResult struct {
 // caller guarantees *now < stopAt on entry.
 //
 // Overflow delivery stays exact without per-access checks: a budget of
-// overflow-free accesses from the PMU lets the hot loop use ObserveCounted,
+// overflow-free accesses from the PMU lets the hot loop use CountAccess,
 // falling back to a full Observe whenever the budget is spent, and any
 // overflow-configuration change (arming from a sample hook, delivery,
 // re-arming from a handler) re-prices the budget.
@@ -170,8 +170,9 @@ func (s *System) AccessRun(reqs []Req, task, core int, now *sim.Cycles, stopAt s
 				pgen = p.ConfigGen()
 				bound = p.AccessesUntilOverflow()
 			} else {
-				// ObserveCounted, unrolled so the Access record is only built
-				// when a PEBS record will actually be taken.
+				// Observe minus overflow delivery, unrolled so the Access
+				// record is only built when a PEBS record will actually be
+				// taken.
 				p.CountAccess(write, res.LLCMiss)
 				if p.WantSample(write, res.Latency, t) {
 					p.TakeSample(pmu.Access{

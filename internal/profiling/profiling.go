@@ -1,5 +1,5 @@
 // Package profiling wires the standard pprof collectors into the CLIs.
-// The simulator's hot loop (machine.Step -> vm.Translate -> cache Access ->
+// The simulator's hot loop (machine.Run -> vm.Translate -> cache Access ->
 // dram Access -> pmu.Observe) is tuned against profiles of real experiment
 // runs, so every binary that drives experiments exposes -cpuprofile and
 // -memprofile flags through this package.

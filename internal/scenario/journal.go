@@ -198,9 +198,6 @@ func createJournal(path string, meta SweepMeta) (*Journal, error) {
 	return j, nil
 }
 
-// Meta returns the sweep identity the journal was opened with.
-func (j *Journal) Meta() SweepMeta { return j.meta }
-
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 

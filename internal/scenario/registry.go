@@ -8,18 +8,23 @@ import (
 	"time"
 )
 
-// Config tunes experiment runs. Quick mode shrinks run lengths so the whole
-// suite fits in unit-test budgets; full mode matches the paper's measurement
-// horizons. Seed shards the stochastic machine components (see Spec.Seed);
-// Parallel caps the worker pool used by multi-replicate experiments.
+// Config tunes experiment runs, and is the one settings type of the sweep
+// runner (RunReplicatesSweep, RunReplicates): its zero value is the plain
+// runner — no timeout, no journal, no retries, no budget. Quick mode shrinks
+// run lengths so the whole suite fits in unit-test budgets; full mode
+// matches the paper's measurement horizons. Seed shards the stochastic
+// machine components (see Spec.Seed); Parallel caps the worker pool used by
+// multi-replicate experiments.
 type Config struct {
 	Quick bool
 	// Seed is the base of every replicate seed an experiment derives (via
-	// ReplicateSeed) and the Spec.Seed of single-run experiments.
+	// ReplicateSeed) and the Spec.Seed of single-run experiments. It also
+	// seeds the sweep's retry-backoff jitter (see RetryDelay), so retry
+	// schedules are reproducible.
 	Seed uint64
 	// Parallel is the worker count of RunReplicates sweeps; zero or
-	// negative means GOMAXPROCS. Parallelism never changes results — only
-	// wall-clock time.
+	// negative means GOMAXPROCS. Parallelism never changes results or
+	// errors — only wall-clock time.
 	Parallel int
 	// StepBatch is forwarded to every Spec an experiment builds
 	// (Spec.StepBatch): 1 forces per-op stepping, larger values bound the
@@ -27,14 +32,20 @@ type Config struct {
 	// reported number — only how the core schedules the same operations.
 	StepBatch int
 	// Timeout is the per-replicate wall-clock deadline of RunReplicates
-	// sweeps; zero means none. Like Parallel it never changes a reported
+	// sweeps, enforced through the context handed to each replicate; zero
+	// means none. A replicate that ignores its context is abandoned (its
+	// goroutine keeps running, its result is discarded) and reported as
+	// context.DeadlineExceeded. Like Parallel it never changes a reported
 	// number — a replicate either completes identically or fails.
 	Timeout time.Duration
 	// KeepGoing makes RunReplicates sweeps return completed replicates plus
 	// a *SweepError instead of discarding the sweep on the first failure.
 	KeepGoing bool
 	// MaxRetries re-runs transiently-failed replicates (see Transient) up to
-	// this many extra times with seeded exponential backoff.
+	// this many extra times, sleeping RetryDelay (base DefaultRetryBackoff)
+	// between attempts. Retried successes count as successes; the sweep's
+	// total retry count lands in SweepStatus.Retries. Backoff sleeps are
+	// host wall-clock only — they are never folded into simulated time.
 	MaxRetries int
 	// Budget bounds each sweep's wall-clock time or executed replicate
 	// count; exhaustion truncates the sweep gracefully instead of failing
@@ -42,11 +53,13 @@ type Config struct {
 	Budget Budget
 	// Journal, when non-empty, is a directory where every RunReplicates
 	// sweep checkpoints one journal file per sweep (named by Sweep name and
-	// per-run sequence), so a killed run can resume. Build journaling
-	// Configs with WithJournal.
+	// per-run sequence), so a killed run can resume. Results must
+	// round-trip through encoding/json (every registry result type does).
+	// Build journaling Configs with WithJournal.
 	Journal string
 	// Resume merges completed replicates out of an existing journal instead
-	// of re-running them. Meaningless without Journal.
+	// of re-running them; the journal's meta must match the running sweep.
+	// Meaningless without Journal.
 	Resume bool
 	// Sweep names the running experiment for journal files and meta
 	// (cmd/tables sets it to the experiment name).
@@ -54,19 +67,30 @@ type Config struct {
 	// Ctx, when non-nil, cancels RunReplicates sweeps early (cmd/tables
 	// wires it to signal handling; nil means context.Background()).
 	Ctx context.Context
-	// OnProgress, when non-nil, observes every replicate a sweep completes
-	// or resumes (see Options.OnProgress). cmd/anvilserved wires it to job
+	// OnProgress, when non-nil, is invoked once per replicate that reaches
+	// its result slot — resumed replicates first (in ascending order, before
+	// any worker starts), then computed ones as they finish. It is called
+	// from worker goroutines and must be safe for concurrent use; it must
+	// not block, or it stalls the sweep. cmd/anvilserved wires it to job
 	// progress streaming; observation never changes results.
 	OnProgress func(ProgressEvent)
 	// Slots, when non-nil, restricts every sweep the experiment runs to the
-	// listed replicate indices (see Options.Slots). Distributed workers use
+	// listed replicate indices: replicates outside the set are skipped
+	// entirely — not executed, not resumed, not reported as progress or
+	// failure; their result slots stay zero values. Distributed workers use
 	// it to execute their leased share of a Shardable experiment's sweep;
 	// the replicates they do run are byte-identical to the unrestricted
-	// sweep's.
+	// sweep's, because a replicate's seed and inputs depend only on its
+	// index (ReplicateSeed), never on which other replicates run alongside
+	// it.
 	Slots []int
 	// OnResult, when non-nil, receives each freshly-computed replicate's
-	// canonical JSON (see Options.OnResult) — what a distributed worker
-	// uploads to its coordinator. A non-nil error fails the replicate.
+	// canonical JSON encoding — exactly the bytes a journal record would
+	// store, and therefore exactly the bytes a resume merges back. A
+	// distributed worker uploads it to its coordinator, keyed by (spec-hash,
+	// replicate). A non-nil error fails the replicate (a result that cannot
+	// be delivered is as lost as one that was never computed); callers
+	// wanting retries classify the error Transient themselves.
 	OnResult func(rep int, raw json.RawMessage) error
 
 	// sweepSeq numbers the journaled sweeps of one experiment run in call
@@ -90,22 +114,6 @@ func (c Config) Context() context.Context {
 		return c.Ctx
 	}
 	return context.Background()
-}
-
-// RunOptions resolves the Config's runner settings. Journal wiring happens
-// in RunReplicatesSweep, which owns the per-sweep journal lifecycle.
-func (c Config) RunOptions() Options {
-	return Options{
-		Workers:    c.Workers(),
-		Timeout:    c.Timeout,
-		KeepGoing:  c.KeepGoing,
-		MaxRetries: c.MaxRetries,
-		Budget:     c.Budget,
-		BaseSeed:   c.Seed,
-		OnProgress: c.OnProgress,
-		Slots:      c.Slots,
-		OnResult:   c.OnResult,
-	}
 }
 
 // ScaleDur shrinks full-length durations in quick mode.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -47,8 +46,8 @@ func MarkTransient(err error) error {
 	return fmt.Errorf("%w: %w", ErrTransient, err)
 }
 
-// DefaultRetryBackoff is the base backoff before a first retry when
-// Options.RetryBackoff is zero.
+// DefaultRetryBackoff is the base backoff before a sweep's first retry of a
+// replicate, and RetryDelay's base when it is given none.
 const DefaultRetryBackoff = 100 * time.Millisecond
 
 // retrySalt decorrelates the backoff jitter stream from the replicate's own
@@ -56,13 +55,13 @@ const DefaultRetryBackoff = 100 * time.Millisecond
 // must never advance (or collide with) the RNG the replicate simulates with.
 const retrySalt = 0xb5ad4eceda1ce2a9
 
-// RetryDelay is the backoff before retry attempt (1-based) of replicate rep:
-// exponential doubling of the base, jittered into [base·2ᵃ⁻¹/2, base·2ᵃ⁻¹]
-// by the replicate's own seed substream. The schedule is a pure function of
-// (BaseSeed, RetryBackoff, rep, attempt), so retry timing — and therefore
-// logs — is reproducible run over run.
-func RetryDelay(opts Options, rep, attempt int) time.Duration {
-	base := opts.RetryBackoff
+// RetryDelay is the backoff before retry attempt (1-based) of replicate rep
+// of a sweep seeded with seed: exponential doubling of base (zero means
+// DefaultRetryBackoff), jittered into [base·2ᵃ⁻¹/2, base·2ᵃ⁻¹] by the
+// replicate's own seed substream. The schedule is a pure function of its
+// arguments, so retry timing — and therefore logs — is reproducible run over
+// run.
+func RetryDelay(base time.Duration, seed uint64, rep, attempt int) time.Duration {
 	if base <= 0 {
 		base = DefaultRetryBackoff
 	}
@@ -75,7 +74,7 @@ func RetryDelay(opts Options, rep, attempt int) time.Duration {
 	}
 	exp := base << shift
 	half := exp / 2
-	r := sim.NewRand(ReplicateSeed(opts.BaseSeed, rep) ^ retrySalt ^ 0x9e3779b97f4a7c15*uint64(attempt))
+	r := sim.NewRand(ReplicateSeed(seed, rep) ^ retrySalt ^ 0x9e3779b97f4a7c15*uint64(attempt))
 	return half + time.Duration(r.Uint64n(uint64(half)+1))
 }
 
@@ -95,9 +94,6 @@ type Budget struct {
 	Replicates int
 }
 
-// IsZero reports whether the budget is unlimited.
-func (b Budget) IsZero() bool { return b == Budget{} }
-
 // A ProgressEvent reports one replicate of a sweep reaching its result slot:
 // either freshly computed (and journaled, when the sweep journals) or merged
 // back out of a resume journal. Events exist so a long sweep can be watched
@@ -113,71 +109,6 @@ type ProgressEvent struct {
 	// Total is the sweep size. Completed == Total on the sweep's last event.
 	Completed int
 	Total     int
-}
-
-// Options tunes a RunSweep sweep. The zero value is the plain runner: no
-// timeout, no journal, no retries, no budget.
-type Options struct {
-	// Workers caps the worker pool; <= 0 means GOMAXPROCS. Parallelism never
-	// changes results or errors — only wall-clock time.
-	Workers int
-	// Timeout is the per-replicate wall-clock deadline, enforced through
-	// the context handed to each replicate; zero means none. A replicate
-	// that ignores its context is abandoned (its goroutine keeps running,
-	// its result is discarded) and reported as context.DeadlineExceeded.
-	// Wall-clock deadlines never influence simulated results — a replicate
-	// either completes (same bytes as ever) or errors out.
-	Timeout time.Duration
-	// KeepGoing returns every completed replicate's result plus a
-	// *SweepError collecting the failures, instead of discarding the sweep
-	// on the first error.
-	KeepGoing bool
-	// MaxRetries re-runs a replicate whose failure is Transient up to this
-	// many extra times, sleeping RetryDelay between attempts. Retried
-	// successes count as successes; the sweep's total retry count lands in
-	// SweepStatus.Retries.
-	MaxRetries int
-	// RetryBackoff is the base backoff before the first retry; zero means
-	// DefaultRetryBackoff. Backoff sleeps are host wall-clock only — they
-	// are never folded into simulated time.
-	RetryBackoff time.Duration
-	// BaseSeed seeds the retry-backoff jitter substreams (see RetryDelay).
-	// It has no effect on replicate results; Config.RunOptions wires it to
-	// the experiment seed so retry schedules are reproducible.
-	BaseSeed uint64
-	// Journal, when non-nil, checkpoints one record per completed replicate
-	// so a killed sweep can resume. Results must round-trip through
-	// encoding/json (every registry result type does).
-	Journal *Journal
-	// Resume merges replicates already recorded in Journal instead of
-	// re-running them. The journal's meta must match the running sweep.
-	Resume bool
-	// Budget bounds the sweep; see Budget.
-	Budget Budget
-	// Slots, when non-nil, restricts the sweep to the listed replicate
-	// indices: replicates outside the set are skipped entirely — not
-	// executed, not resumed, not reported as progress or failure; their
-	// result slots stay zero values. Slot restriction is how a distributed
-	// worker executes its leased share of a sweep: the per-replicate work it
-	// does perform is byte-identical to the unrestricted sweep's, because a
-	// replicate's seed and inputs depend only on its index (ReplicateSeed),
-	// never on which other replicates run alongside it.
-	Slots []int
-	// OnResult, when non-nil, receives each freshly-computed replicate's
-	// canonical JSON encoding — exactly the bytes a journal Record would
-	// store, and therefore exactly the bytes a resume merges back. A
-	// distributed worker uses it to upload replicate results keyed by
-	// (spec-hash, replicate). A non-nil error fails the replicate (a result
-	// that cannot be delivered is as lost as one that was never computed);
-	// callers wanting retries classify the error Transient themselves.
-	OnResult func(rep int, raw json.RawMessage) error
-	// OnProgress, when non-nil, is invoked once per replicate that reaches
-	// its result slot — resumed replicates first (in ascending order, before
-	// any worker starts), then computed ones as they finish. It is called
-	// from worker goroutines and must be safe for concurrent use; it must
-	// not block, or it stalls the sweep. Progress observation never
-	// influences replicate results.
-	OnProgress func(ProgressEvent)
 }
 
 // SweepStatus reports how a sweep ended beyond its per-replicate failures.
@@ -292,43 +223,43 @@ func (e *TruncatedError) Error() string {
 // Unwrap exposes the underlying sweep failures to errors.Is/As.
 func (e *TruncatedError) Unwrap() error { return e.Err }
 
-// RunSweep fans n replicates across a worker pool and merges their results
-// in replicate order. Each call of fn must be self-contained (own machine,
-// own RNG root — see ReplicateSeed), which every Spec-built instance is;
-// under that contract the merged slice, the error, and the error *ordering*
-// are all byte-identical at any parallelism — including a sweep that is
-// killed, resumed from its journal at a different worker count, and merged.
+// runSweep fans n replicates across a worker pool of cfg.Workers() and
+// merges their results in replicate order. Each call of fn must be
+// self-contained (own machine, own RNG root — see ReplicateSeed), which
+// every Spec-built instance is; under that contract the merged slice, the
+// error, and the error *ordering* are all byte-identical at any parallelism
+// — including a sweep that is killed, resumed from its journal at a
+// different worker count, and merged.
 //
 // The runner is hardened for production sweeps:
 //
-//   - ctx cancellation stops the sweep promptly: running replicates see
-//     their context cancelled, not-yet-started ones are not started, and
-//     both report context.Canceled;
-//   - Options.Timeout bounds each replicate; a replicate that ignores its
+//   - cfg.Context() cancellation stops the sweep promptly: running
+//     replicates see their context cancelled, not-yet-started ones are not
+//     started, and both report context.Canceled;
+//   - cfg.Timeout bounds each replicate; a replicate that ignores its
 //     context is abandoned and reported as context.DeadlineExceeded;
 //   - a panicking replicate becomes a *ReplicateError carrying the stack
 //     trace instead of crashing the process;
-//   - Transient failures retry up to Options.MaxRetries times with seeded
-//     exponential backoff (RetryDelay), so retry schedules reproduce;
-//   - Options.Journal checkpoints completed replicates; Options.Resume
-//     merges them back instead of re-running;
-//   - Options.Budget stops scheduling when exhausted and reports the
-//     dropped replicates in SweepStatus instead of failing;
+//   - Transient failures retry up to cfg.MaxRetries times, sleeping
+//     RetryDelay(backoff, cfg.Seed, rep, attempt), so retry schedules
+//     reproduce;
+//   - a non-nil j checkpoints completed replicates; with cfg.Resume its
+//     recorded replicates are merged back instead of re-run;
+//   - cfg.Budget stops scheduling when exhausted and reports the dropped
+//     replicates in SweepStatus instead of failing;
 //   - a replicate contributes at most one entry to the failures, keyed by
 //     replicate index, whatever combination of timeout, retry and
 //     cancellation it dies under.
 //
 // The error is nil, or the first failure in replicate order, or (with
-// KeepGoing) a *SweepError listing every failure in replicate order. The
+// cfg.KeepGoing) a *SweepError listing every failure in replicate order. The
 // merged slice always comes back, including partial sweeps.
-func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, rep int) (T, error)) ([]T, SweepStatus, error) {
+func runSweep[T any](cfg Config, n int, j *Journal, backoff time.Duration, fn func(ctx context.Context, rep int) (T, error)) ([]T, SweepStatus, error) {
 	var status SweepStatus
 	if n <= 0 {
 		return nil, status, nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx := cfg.Context()
 	out := make([]T, n)
 	errs := make([]*ReplicateError, n)
 	skip := make([]bool, n)
@@ -336,9 +267,9 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 	// Slot restriction: replicates outside the set are out of scope for this
 	// run — skipped before resume merging, budgets, and scheduling alike.
 	excluded := 0
-	if opts.Slots != nil {
-		inSet := make(map[int]bool, len(opts.Slots))
-		for _, s := range opts.Slots {
+	if cfg.Slots != nil {
+		inSet := make(map[int]bool, len(cfg.Slots))
+		for _, s := range cfg.Slots {
 			if s >= 0 && s < n {
 				inSet[s] = true
 			}
@@ -355,10 +286,10 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 	// observation-only and never read by the sweep itself.
 	var completed atomic.Int64
 	notify := func(rep int, resumed bool) {
-		if opts.OnProgress == nil {
+		if cfg.OnProgress == nil {
 			return
 		}
-		opts.OnProgress(ProgressEvent{
+		cfg.OnProgress(ProgressEvent{
 			Rep:       rep,
 			Resumed:   resumed,
 			Completed: int(completed.Add(1)),
@@ -366,8 +297,8 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 		})
 	}
 
-	if opts.Journal != nil && opts.Resume {
-		reps, results := opts.Journal.Completed()
+	if j != nil && cfg.Resume {
+		reps, results := j.Completed()
 		for _, rep := range reps {
 			if rep >= n || skip[rep] {
 				continue
@@ -375,7 +306,7 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 			var v T
 			if err := json.Unmarshal(results[rep], &v); err != nil {
 				return nil, status, fmt.Errorf("scenario: journal %s: replicate %d record does not decode into %T: %w",
-					opts.Journal.Path(), rep, v, err)
+					j.Path(), rep, v, err)
 			}
 			out[rep] = v
 			skip[rep] = true
@@ -384,10 +315,7 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 		}
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := cfg.Workers()
 	pending := n - status.Resumed - excluded
 	if workers > pending {
 		workers = pending
@@ -400,7 +328,7 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 	start := time.Now() //lint:allow detrand wall-clock sweep budget; scheduling only, never read by simulated code
 	ran := 0            // replicates dispatched this run (owned by the scheduling goroutine)
 	exhausted := func() (string, bool) {
-		b := opts.Budget
+		b := cfg.Budget
 		if b.Replicates > 0 && ran >= b.Replicates {
 			return fmt.Sprintf("replicate budget %d exhausted", b.Replicates), true
 		}
@@ -421,8 +349,8 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 				status.Dropped = append(status.Dropped, rep)
 			}
 		}
-		if opts.Journal != nil {
-			if err := opts.Journal.Truncation(status.Dropped, reason); err != nil {
+		if j != nil {
+			if err := j.Truncation(status.Dropped, reason); err != nil {
 				// The marker is advisory; the dropped range still reaches the
 				// caller through the status.
 				status.Reason += fmt.Sprintf(" (journal marker failed: %v)", err)
@@ -436,8 +364,8 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 	// context.
 	attemptOne := func(rep int) (T, *ReplicateError) {
 		repCtx, cancel := ctx, context.CancelFunc(func() {})
-		if opts.Timeout > 0 {
-			repCtx, cancel = context.WithTimeout(ctx, opts.Timeout)
+		if cfg.Timeout > 0 {
+			repCtx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		}
 		defer cancel()
 		type outcome struct {
@@ -488,19 +416,19 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 			val, rerr := attemptOne(rep)
 			if rerr == nil {
 				out[rep] = val
-				if opts.Journal != nil || opts.OnResult != nil {
+				if j != nil || cfg.OnResult != nil {
 					raw, err := json.Marshal(val)
-					if err == nil && opts.Journal != nil {
-						if jerr := opts.Journal.Record(rep, raw, attempt-1); jerr != nil {
+					if err == nil && j != nil {
+						if jerr := j.Record(rep, raw, attempt-1); jerr != nil {
 							err = fmt.Errorf("journaling result: %w", jerr)
 						}
 					}
-					if err == nil && opts.OnResult != nil {
+					if err == nil && cfg.OnResult != nil {
 						// Delivery failure fails the replicate: a result
 						// that never reached its consumer is as lost as one
 						// never computed. OnResult errors marked Transient
 						// re-enter the retry loop like any other failure.
-						err = opts.OnResult(rep, raw)
+						err = cfg.OnResult(rep, raw)
 					}
 					if err != nil {
 						// A checkpoint that cannot be written is a real
@@ -508,11 +436,11 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 						// replicate at best, corrupt the journal at worst.
 						rerr = &ReplicateError{Rep: rep, Err: err, Attempts: attempt}
 						last = rerr
-						if attempt > opts.MaxRetries || !Transient(err) || ctx.Err() != nil {
+						if attempt > cfg.MaxRetries || !Transient(err) || ctx.Err() != nil {
 							break
 						}
 						retries.Add(1)
-						if !sleepBackoff(ctx, RetryDelay(opts, rep, attempt)) {
+						if !sleepBackoff(ctx, RetryDelay(backoff, cfg.Seed, rep, attempt)) {
 							break
 						}
 						continue
@@ -523,11 +451,11 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 			}
 			rerr.Attempts = attempt
 			last = rerr
-			if attempt > opts.MaxRetries || !Transient(rerr.Err) || ctx.Err() != nil {
+			if attempt > cfg.MaxRetries || !Transient(rerr.Err) || ctx.Err() != nil {
 				break
 			}
 			retries.Add(1)
-			if !sleepBackoff(ctx, RetryDelay(opts, rep, attempt)) {
+			if !sleepBackoff(ctx, RetryDelay(backoff, cfg.Seed, rep, attempt)) {
 				break // cancelled mid-backoff; the attempt's own error stands
 			}
 		}
@@ -599,7 +527,7 @@ func RunSweep[T any](ctx context.Context, n int, opts Options, fn func(ctx conte
 	if len(failures) == 0 {
 		return out, status, nil
 	}
-	if opts.KeepGoing {
+	if cfg.KeepGoing {
 		return out, status, &SweepError{Replicates: n, Failures: failures}
 	}
 	return out, status, failures[0]
@@ -622,23 +550,23 @@ func sleepBackoff(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// RunReplicatesSweep runs a registry experiment's sweep under the experiment
-// Config's runner settings — worker pool, per-replicate timeout, keep-going,
-// retries, budget — and, when the Config journals, checkpoints the sweep to
-// a per-sweep journal file for resume. Sweep-shaped experiments use it to
-// degrade gracefully: the status names what was resumed, retried or dropped.
+// RunReplicatesSweep fans n replicates of a registry experiment's sweep
+// across a worker pool under the experiment Config's runner settings —
+// worker pool, cancellation, per-replicate timeout, keep-going, retries,
+// budget, slots, result and progress hooks — and merges their results in
+// replicate order (see runSweep for the guarantees). When the Config
+// journals, it checkpoints the sweep to a per-sweep journal file for resume.
+// Sweep-shaped experiments use it to degrade gracefully: the status names
+// what was resumed, retried or dropped.
 func RunReplicatesSweep[T any](cfg Config, n int, fn func(rep int) (T, error)) ([]T, SweepStatus, error) {
-	opts := cfg.RunOptions()
 	j, err := openSweepJournal(cfg, n)
 	if err != nil {
 		return nil, SweepStatus{}, err
 	}
 	if j != nil {
 		defer j.Close()
-		opts.Journal = j
-		opts.Resume = cfg.Resume
 	}
-	return RunSweep(cfg.Context(), n, opts,
+	return runSweep(cfg, n, j, DefaultRetryBackoff,
 		func(_ context.Context, rep int) (T, error) { return fn(rep) })
 }
 

@@ -6,10 +6,11 @@
 // into a ready-to-run Instance, so no caller assembles machines by hand.
 //
 // The package also hosts the experiment registry (registry.go) and the
-// parallel seed-sharded runner (runner.go): RunSweep fans replicates across
-// a worker pool with each replicate owning its own machine and derived seed,
-// and merges results in replicate order so output is bit-identical at any
-// parallelism; RunReplicates drives it from an experiment Config.
+// parallel seed-sharded runner (runner.go): RunReplicatesSweep and
+// RunReplicates fan replicates across a worker pool under an experiment
+// Config, with each replicate owning its own machine and derived seed, and
+// merge results in replicate order so output is bit-identical at any
+// parallelism.
 package scenario
 
 import (

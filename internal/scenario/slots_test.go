@@ -21,16 +21,16 @@ func TestSlotsRestrictExecution(t *testing.T) {
 	var mu sync.Mutex
 	ran := map[int]bool{}
 	var events []int
-	opts := Options{
-		Workers: 3,
-		Slots:   []int{1, 4, 6, 97, -2}, // out-of-range entries are ignored
+	cfg := Config{
+		Parallel: 3,
+		Slots:    []int{1, 4, 6, 97, -2}, // out-of-range entries are ignored
 		OnProgress: func(ev ProgressEvent) {
 			mu.Lock()
 			events = append(events, ev.Rep)
 			mu.Unlock()
 		},
 	}
-	out, status, err := RunSweep(context.Background(), n, opts, func(_ context.Context, rep int) (uint64, error) {
+	out, status, err := runSweep(cfg, n, nil, DefaultRetryBackoff, func(_ context.Context, rep int) (uint64, error) {
 		mu.Lock()
 		ran[rep] = true
 		mu.Unlock()
@@ -70,13 +70,13 @@ func TestSlotsShardMergeByteIdentical(t *testing.T) {
 	// OnResult runs on the worker goroutines, so both maps need the lock.
 	var mu sync.Mutex
 	golden := make(map[int]string, n)
-	opts := Options{OnResult: func(rep int, raw json.RawMessage) error {
+	cfg := Config{OnResult: func(rep int, raw json.RawMessage) error {
 		mu.Lock()
 		golden[rep] = string(raw)
 		mu.Unlock()
 		return nil
 	}}
-	if _, _, err := RunSweep(context.Background(), n, opts, run); err != nil {
+	if _, _, err := runSweep(cfg, n, nil, DefaultRetryBackoff, run); err != nil {
 		t.Fatal(err)
 	}
 	if len(golden) != n {
@@ -86,9 +86,9 @@ func TestSlotsShardMergeByteIdentical(t *testing.T) {
 	shards := [][]int{{0, 3, 8}, {1, 2}, {4, 5, 6, 7}}
 	merged := make(map[int]string, n)
 	for _, shard := range shards {
-		sopts := Options{
-			Workers: 2,
-			Slots:   shard,
+		scfg := Config{
+			Parallel: 2,
+			Slots:    shard,
 			OnResult: func(rep int, raw json.RawMessage) error {
 				mu.Lock()
 				merged[rep] = string(raw)
@@ -96,7 +96,7 @@ func TestSlotsShardMergeByteIdentical(t *testing.T) {
 				return nil
 			},
 		}
-		if _, _, err := RunSweep(context.Background(), n, sopts, run); err != nil {
+		if _, _, err := runSweep(scfg, n, nil, DefaultRetryBackoff, run); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,8 +130,8 @@ func TestSlotsSkipJournaledReplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	opts := Options{Journal: j, Resume: true, Slots: []int{2}}
-	out, status, err := RunSweep(context.Background(), 4, opts, func(_ context.Context, rep int) (uint64, error) {
+	cfg := Config{Resume: true, Slots: []int{2}}
+	out, status, err := runSweep(cfg, 4, j, DefaultRetryBackoff, func(_ context.Context, rep int) (uint64, error) {
 		t.Fatalf("replicate %d executed despite being journaled", rep)
 		return 0, nil
 	})
@@ -156,7 +156,7 @@ func TestSlotsSkipJournaledReplicates(t *testing.T) {
 // retry like any other transient error.
 func TestOnResultFailureFailsReplicate(t *testing.T) {
 	boom := errors.New("upload refused")
-	_, _, err := RunSweep(context.Background(), 3, Options{
+	_, _, err := runSweep(Config{
 		KeepGoing: true,
 		OnResult: func(rep int, _ json.RawMessage) error {
 			if rep == 1 {
@@ -164,7 +164,7 @@ func TestOnResultFailureFailsReplicate(t *testing.T) {
 			}
 			return nil
 		},
-	}, func(_ context.Context, rep int) (uint64, error) { return slotVal(rep), nil })
+	}, 3, nil, DefaultRetryBackoff, func(_ context.Context, rep int) (uint64, error) { return slotVal(rep), nil })
 	var se *SweepError
 	if !errors.As(err, &se) || len(se.Failures) != 1 || se.Failures[0].Rep != 1 {
 		t.Fatalf("want exactly replicate 1 failed, got %v", err)
@@ -175,9 +175,8 @@ func TestOnResultFailureFailsReplicate(t *testing.T) {
 
 	// Transient delivery failures retry with the replicate's seeded backoff.
 	attempts := 0
-	out, status, err := RunSweep(context.Background(), 1, Options{
-		MaxRetries:   3,
-		RetryBackoff: 1, // nanoseconds: keep the test instant
+	out, status, err := runSweep(Config{
+		MaxRetries: 3,
 		OnResult: func(_ int, _ json.RawMessage) error {
 			attempts++
 			if attempts < 3 {
@@ -185,7 +184,8 @@ func TestOnResultFailureFailsReplicate(t *testing.T) {
 			}
 			return nil
 		},
-	}, func(_ context.Context, rep int) (uint64, error) { return slotVal(rep), nil })
+	}, 1, nil, 1, // backoff in nanoseconds: keep the test instant
+		func(_ context.Context, rep int) (uint64, error) { return slotVal(rep), nil })
 	if err != nil {
 		t.Fatalf("transient delivery failures should have retried clean: %v", err)
 	}

@@ -64,15 +64,15 @@ func TestTransientClassification(t *testing.T) {
 }
 
 func TestRetryDelayDeterministicAndBounded(t *testing.T) {
-	opts := Options{BaseSeed: 7, RetryBackoff: 80 * time.Millisecond}
+	const base, seed = 80 * time.Millisecond, 7
 	for rep := 0; rep < 4; rep++ {
 		for attempt := 1; attempt <= 5; attempt++ {
-			d1 := RetryDelay(opts, rep, attempt)
-			d2 := RetryDelay(opts, rep, attempt)
+			d1 := RetryDelay(base, seed, rep, attempt)
+			d2 := RetryDelay(base, seed, rep, attempt)
 			if d1 != d2 {
 				t.Fatalf("rep %d attempt %d: delay not deterministic (%v != %v)", rep, attempt, d1, d2)
 			}
-			exp := opts.RetryBackoff << (attempt - 1)
+			exp := base << (attempt - 1)
 			if d1 < exp/2 || d1 > exp {
 				t.Fatalf("rep %d attempt %d: delay %v outside [%v, %v]", rep, attempt, d1, exp/2, exp)
 			}
@@ -81,7 +81,7 @@ func TestRetryDelayDeterministicAndBounded(t *testing.T) {
 	// Different replicates draw from different jitter substreams.
 	same := 0
 	for attempt := 1; attempt <= 8; attempt++ {
-		if RetryDelay(opts, 0, attempt) == RetryDelay(opts, 1, attempt) {
+		if RetryDelay(base, seed, 0, attempt) == RetryDelay(base, seed, 1, attempt) {
 			same++
 		}
 	}
@@ -92,8 +92,8 @@ func TestRetryDelayDeterministicAndBounded(t *testing.T) {
 
 func TestRetryTransientThenSucceed(t *testing.T) {
 	var calls [4]atomic.Int32
-	opts := Options{Workers: 2, MaxRetries: 3, RetryBackoff: time.Microsecond}
-	out, status, err := RunSweep(context.Background(), 4, opts, func(_ context.Context, rep int) (int, error) {
+	cfg := Config{Parallel: 2, MaxRetries: 3}
+	out, status, err := runSweep(cfg, 4, nil, time.Microsecond, func(_ context.Context, rep int) (int, error) {
 		n := calls[rep].Add(1)
 		// Replicate 2 fails transiently twice before succeeding.
 		if rep == 2 && n <= 2 {
@@ -102,7 +102,7 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 		return rep * 10, nil
 	})
 	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
+		t.Fatalf("runSweep: %v", err)
 	}
 	if want := []int{0, 10, 20, 30}; !reflect.DeepEqual(out, want) {
 		t.Fatalf("out = %v, want %v", out, want)
@@ -117,8 +117,8 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 
 func TestRetryExhaustionReportsAttempts(t *testing.T) {
 	var calls atomic.Int32
-	opts := Options{Workers: 1, MaxRetries: 2, RetryBackoff: time.Microsecond}
-	_, status, err := RunSweep(context.Background(), 1, opts, func(_ context.Context, _ int) (int, error) {
+	cfg := Config{Parallel: 1, MaxRetries: 2}
+	_, status, err := runSweep(cfg, 1, nil, time.Microsecond, func(_ context.Context, _ int) (int, error) {
 		calls.Add(1)
 		return 0, MarkTransient(errors.New("always down"))
 	})
@@ -142,8 +142,8 @@ func TestRetryExhaustionReportsAttempts(t *testing.T) {
 
 func TestNonTransientErrorIsNotRetried(t *testing.T) {
 	var calls atomic.Int32
-	opts := Options{Workers: 1, MaxRetries: 5, RetryBackoff: time.Microsecond}
-	_, status, err := RunSweep(context.Background(), 1, opts, func(_ context.Context, _ int) (int, error) {
+	cfg := Config{Parallel: 1, MaxRetries: 5}
+	_, status, err := runSweep(cfg, 1, nil, time.Microsecond, func(_ context.Context, _ int) (int, error) {
 		calls.Add(1)
 		return 0, errors.New("deterministic bug")
 	})
@@ -159,12 +159,12 @@ func TestNonTransientErrorIsNotRetried(t *testing.T) {
 }
 
 func TestBudgetReplicatesTruncates(t *testing.T) {
-	opts := Options{Workers: 1, Budget: Budget{Replicates: 3}}
-	out, status, err := RunSweep(context.Background(), 8, opts, func(_ context.Context, rep int) (int, error) {
+	cfg := Config{Parallel: 1, Budget: Budget{Replicates: 3}}
+	out, status, err := runSweep(cfg, 8, nil, DefaultRetryBackoff, func(_ context.Context, rep int) (int, error) {
 		return rep + 1, nil
 	})
 	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
+		t.Fatalf("runSweep: %v", err)
 	}
 	if !status.Truncated {
 		t.Fatal("sweep not truncated")
@@ -182,13 +182,13 @@ func TestBudgetReplicatesTruncates(t *testing.T) {
 }
 
 func TestBudgetWallClockTruncates(t *testing.T) {
-	opts := Options{Workers: 1, Budget: Budget{WallClock: 30 * time.Millisecond}}
-	_, status, err := RunSweep(context.Background(), 1000, opts, func(_ context.Context, rep int) (int, error) {
+	cfg := Config{Parallel: 1, Budget: Budget{WallClock: 30 * time.Millisecond}}
+	_, status, err := runSweep(cfg, 1000, nil, DefaultRetryBackoff, func(_ context.Context, rep int) (int, error) {
 		time.Sleep(5 * time.Millisecond)
 		return rep, nil
 	})
 	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
+		t.Fatalf("runSweep: %v", err)
 	}
 	if !status.Truncated {
 		t.Fatal("wall-clock budget did not truncate")
@@ -225,9 +225,9 @@ func TestSweepErrorSingleEntryPerReplicate(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const n = 24
-	opts := Options{Workers: 4, KeepGoing: true, Timeout: 5 * time.Millisecond, MaxRetries: 1, RetryBackoff: time.Millisecond}
+	cfg := Config{Parallel: 4, KeepGoing: true, Timeout: 5 * time.Millisecond, MaxRetries: 1, Ctx: ctx}
 	started := make(chan struct{}, n)
-	_, _, err := RunSweep(ctx, n, opts, func(repCtx context.Context, rep int) (int, error) {
+	_, _, err := runSweep(cfg, n, nil, time.Millisecond, func(repCtx context.Context, rep int) (int, error) {
 		started <- struct{}{}
 		if rep == 2 {
 			cancel() // mid-sweep cancellation races the timeouts
@@ -284,7 +284,7 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var firstCalls atomic.Int32
-	out1, status1, err := RunSweep(context.Background(), n, Options{Workers: 2, Journal: j},
+	out1, status1, err := runSweep(Config{Parallel: 2}, n, j, DefaultRetryBackoff,
 		func(_ context.Context, rep int) (sweepResult, error) {
 			firstCalls.Add(1)
 			return makeResult(meta.BaseSeed, rep), nil
@@ -306,7 +306,7 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	out2, status2, err := RunSweep(context.Background(), n, Options{Workers: 5, Journal: j2, Resume: true},
+	out2, status2, err := runSweep(Config{Parallel: 5, Resume: true}, n, j2, DefaultRetryBackoff,
 		func(_ context.Context, rep int) (sweepResult, error) {
 			t.Errorf("replicate %d re-ran on a fully-journaled sweep", rep)
 			return sweepResult{}, nil
@@ -330,7 +330,7 @@ func TestJournalTruncateThenResumeByteIdentical(t *testing.T) {
 	}
 
 	// Golden: one uninterrupted serial run, no journal.
-	golden, _, err := RunSweep(context.Background(), n, Options{Workers: 1}, fn)
+	golden, _, err := runSweep(Config{Parallel: 1}, n, nil, DefaultRetryBackoff, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +341,8 @@ func TestJournalTruncateThenResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, status, err := RunSweep(context.Background(), n,
-		Options{Workers: 2, Journal: j, Budget: Budget{Replicates: 4}}, fn)
+	_, status, err := runSweep(Config{Parallel: 2, Budget: Budget{Replicates: 4}}, n, j,
+		DefaultRetryBackoff, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,8 +357,8 @@ func TestJournalTruncateThenResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	resumed, status2, err := RunSweep(context.Background(), n,
-		Options{Workers: 7, Journal: j2, Resume: true}, fn)
+	resumed, status2, err := runSweep(Config{Parallel: 7, Resume: true}, n, j2,
+		DefaultRetryBackoff, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,12 +445,13 @@ func TestProgressEventsCoverEverySlot(t *testing.T) {
 	const n = 8
 	var mu sync.Mutex
 	var events []ProgressEvent
-	out, status, err := RunSweep(context.Background(), n,
-		Options{Workers: 3, OnProgress: func(ev ProgressEvent) {
+	out, status, err := runSweep(
+		Config{Parallel: 3, OnProgress: func(ev ProgressEvent) {
 			mu.Lock()
 			events = append(events, ev)
 			mu.Unlock()
 		}},
+		n, nil, DefaultRetryBackoff,
 		func(_ context.Context, rep int) (sweepResult, error) {
 			return makeResult(11, rep), nil
 		})
@@ -494,8 +495,8 @@ func TestProgressEventsMarkResumedReplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First run journals only replicates 0 and 1 (replicate budget 2).
-	_, status, err := RunSweep(context.Background(), n,
-		Options{Workers: 1, Journal: j, Budget: Budget{Replicates: 2}},
+	_, status, err := runSweep(Config{Parallel: 1, Budget: Budget{Replicates: 2}}, n, j,
+		DefaultRetryBackoff,
 		func(_ context.Context, rep int) (sweepResult, error) {
 			return makeResult(meta.BaseSeed, rep), nil
 		})
@@ -513,8 +514,8 @@ func TestProgressEventsMarkResumedReplicates(t *testing.T) {
 	defer j2.Close()
 	var mu sync.Mutex
 	var resumed, fresh []int
-	_, status2, err := RunSweep(context.Background(), n,
-		Options{Workers: 2, Journal: j2, Resume: true, OnProgress: func(ev ProgressEvent) {
+	_, status2, err := runSweep(
+		Config{Parallel: 2, Resume: true, OnProgress: func(ev ProgressEvent) {
 			mu.Lock()
 			defer mu.Unlock()
 			if ev.Resumed {
@@ -523,6 +524,7 @@ func TestProgressEventsMarkResumedReplicates(t *testing.T) {
 				fresh = append(fresh, ev.Rep)
 			}
 		}},
+		n, j2, DefaultRetryBackoff,
 		func(_ context.Context, rep int) (sweepResult, error) {
 			return makeResult(meta.BaseSeed, rep), nil
 		})

@@ -73,7 +73,7 @@ var errClientTransport = errors.New("sweepd: transport error")
 // how long to back off before retrying, or ok=false for errors retrying
 // cannot help.
 func (c *Client) retryDelay(err error, attempt int) (time.Duration, bool) {
-	d := scenario.RetryDelay(scenario.Options{RetryBackoff: c.RetryBase, BaseSeed: c.RetrySeed}, 0, attempt)
+	d := scenario.RetryDelay(c.RetryBase, c.RetrySeed, 0, attempt)
 	var se *StatusError
 	switch {
 	case errors.As(err, &se):

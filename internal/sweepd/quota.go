@@ -22,9 +22,6 @@ type Quota struct {
 	WallClock time.Duration
 }
 
-// IsZero reports whether the quota is unlimited.
-func (q Quota) IsZero() bool { return q == Quota{} }
-
 // Usage is a caller's charged consumption. Replicates counts only fresh
 // (non-resumed) replicate executions; WallClock sums the host time their
 // jobs ran. Both accrue exclusively from journaled completion records.
